@@ -125,10 +125,7 @@
 #include "util/trajectory.hpp"
 #include "protocols/registry.hpp"
 #include "sched/adversary.hpp"
-#include "sim/naming.hpp"
-#include "sim/sid.hpp"
-#include "sim/skno.hpp"
-#include "sim/tw_naive.hpp"
+#include "sim/sim_rules.hpp"
 #include "verify/matching.hpp"
 
 using namespace ppfs;
@@ -428,20 +425,6 @@ std::size_t parse_population(const std::string& s) {
   return out;
 }
 
-std::unique_ptr<Simulator> make_simulator(const std::string& kind,
-                                          const Workload& w, Model model,
-                                          std::size_t budget) {
-  if (kind == "naive") return std::make_unique<TwSimulator>(w.protocol, model, w.initial);
-  if (kind == "skno")
-    return std::make_unique<SknoSimulator>(w.protocol, model,
-                                           budget == SIZE_MAX ? 0 : budget,
-                                           w.initial);
-  if (kind == "sid") return std::make_unique<SidSimulator>(w.protocol, model, w.initial);
-  if (kind == "naming")
-    return std::make_unique<NamingSimulator>(w.protocol, model, w.initial);
-  throw std::invalid_argument("unknown simulator '" + kind + "'");
-}
-
 // Direct run through the engine facade; the batch engine makes n = 10^6
 // populations practical from the command line, in every model and under
 // every omission adversary.
@@ -459,28 +442,16 @@ int run_with_engine(const std::string& kind, Model model,
   CountsProbe probe;
   // Above kPerAgentLimit the registry hands out counts instead of a
   // per-agent vector (n = 10^9 runs) and only the count-space engines
-  // apply — make_engine_from_counts rejects "native" with a clear error.
+  // apply — make_workload_engine rejects "native" with a clear error.
   if (is_one_way(model)) {
     const OneWayWorkload w = find_one_way_workload(workload, n, model);
     workload_name = w.name;
-    engine = w.initial_counts.empty()
-                 ? make_engine(kind, w.protocol, w.initial, config)
-                 : make_engine_from_counts(kind, w.protocol, w.initial_counts,
-                                           config);
-    auto conv = w.converged;
-    const int expect = w.expected_output;
-    probe = [conv, expect](const std::vector<std::size_t>& counts,
-                           const Protocol& p) {
-      if (conv) return conv(counts);
-      return counts_consensus_output(counts, p) == expect;
-    };
+    engine = make_workload_engine(kind, w, config);
+    probe = workload_counts_probe(w);
   } else {
     const Workload w = find_workload(workload, n);
     workload_name = w.name;
-    engine = w.initial_counts.empty()
-                 ? make_engine(kind, w.protocol, w.initial, config)
-                 : make_engine_from_counts(kind, w.protocol, w.initial_counts,
-                                           config);
+    engine = make_workload_engine(kind, w, config);
     probe = workload_counts_probe(w);
   }
 
@@ -746,7 +717,11 @@ int main(int argc, char** argv) {
 
     const Model model = parse_model(model_s);
     const Workload w = find_workload(workload, n);
-    auto sim = make_simulator(simulator, w, model, budget);
+    // SKnO's omission bound is the adversary's budget (0 under UO).
+    SimSpec spec;
+    spec.kind = simulator;
+    spec.omission_bound = budget == SIZE_MAX ? 0 : budget;
+    auto sim = make_spec_simulator(spec, model, w.protocol, w.initial);
 
     std::unique_ptr<Scheduler> sched;
     if (rate > 0 && is_omissive(model)) {

@@ -1,7 +1,5 @@
 #include "engine/batch/batch_system.hpp"
 
-#include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "engine/batch/leap_sampling.hpp"
@@ -216,171 +214,43 @@ void BatchSystem::bulk_fire(InteractionClass c, State s, State r,
   mark_dirty(out.reactor);
 }
 
+// BatchSystem's steps of leap::advance_with_omissions: incrementally
+// maintained class weights, and omissive deliveries that change counts
+// with exact integer probability Wo/T.
+struct BatchSystem::LeapHooks {
+  BatchSystem& sys;
+
+  OmissionProcess* omission() { return sys.omit_ ? &*sys.omit_ : nullptr; }
+  std::size_t& steps() { return sys.steps_; }
+  RunStats& stats() { return sys.stats_; }
+  obs::Histogram* leap_len() { return sys.m_leap_len_; }
+  std::pair<std::uint64_t, std::uint64_t> real_weight() {
+    sys.flush_weights();
+    const std::uint64_t n = sys.conf_.size();
+    // ppfs-lint: allow(weight-mul): n < 2^32 keeps the pair total in u64.
+    return {sys.w_real_, n * (n - 1)};
+  }
+  bool omission_transparent() const { return sys.w_omit_ == 0; }
+  void fire_real(std::uint64_t, Rng& rng, BatchDelta& d) {
+    const auto [s, r] = sys.pick_changing_pair(InteractionClass::Real, rng);
+    sys.apply_fire(InteractionClass::Real, s, r, d);
+    ++d.interactions;
+    ++sys.steps_;
+  }
+  bool omissive_delivery(std::uint64_t t, Rng& rng, BatchDelta& d) {
+    if (sys.w_omit_ == 0 || rng.below(t) >= sys.w_omit_) return false;
+    const auto [s, r] = sys.pick_changing_pair(sys.omit_class_, rng);
+    sys.apply_fire(sys.omit_class_, s, r, d);
+    ++d.interactions;
+    ++sys.steps_;
+    return true;
+  }
+};
+
 BatchDelta BatchSystem::advance(std::size_t budget, Rng& rng) {
   BatchDelta d;
-  const std::uint64_t n = conf_.size();
-  // ppfs-lint: allow(weight-mul): n < 2^32 keeps the pair total in u64.
-  const std::uint64_t t = n * (n - 1);
-
-  while (d.interactions < budget) {
-    const std::size_t remaining = budget - d.interactions;
-    flush_weights();
-
-    if (!omit_ || !omit_->active(steps_)) {
-      // No insertable omissions now or ever again (inactivity is
-      // absorbing): the exact integer path of PR 1.
-      if (w_real_ == 0) {
-        d.interactions += remaining;
-        d.noops += remaining;
-        steps_ += remaining;
-        stats_.record_noops(remaining);
-        return d;
-      }
-      const std::size_t skipped = leap::sample_noop_run(w_real_, t, rng, remaining);
-      PPFS_METRIC(m_leap_len_, record(skipped));
-      d.noops += skipped;
-      d.interactions += skipped;
-      steps_ += skipped;
-      stats_.record_noops(skipped);
-      if (skipped < remaining) {
-        const auto [s, r] = pick_changing_pair(InteractionClass::Real, rng);
-        apply_fire(InteractionClass::Real, s, r, d);
-        ++d.interactions;
-        ++steps_;
-      }
-      return d;
-    }
-
-    const double p = omit_->rate();
-    // Never leap across the NO quiet horizon: the omission probability
-    // flips to zero there, which the next loop iteration picks up.
-    std::size_t cap = remaining;
-    if (omit_->quiet_after() != std::numeric_limits<std::size_t>::max() &&
-        omit_->quiet_after() > steps_)
-      cap = std::min(cap, omit_->quiet_after() - steps_);
-
-    const bool capped = omit_->burst_cap_reachable();
-    if (w_omit_ == 0 && capped) {
-      // Omissive draws are global no-ops but the burst cap binds: sample
-      // the within-burst Markov chain exactly, one burst episode at a
-      // time (budget exhaustion is handled inside the leg).
-      std::size_t burst = omit_->burst();
-      const leap::BurstLeg leg = leap::sample_capped_burst_leg(
-          p, w_real_, t, omit_->max_burst(), burst, omit_->remaining_budget(),
-          cap, rng);
-      omit_->set_burst(burst);
-      omit_->note_omissions(leg.omissions);
-      const std::size_t noops = leg.deliveries - (leg.fire ? 1 : 0);
-      stats_.record_omissive_noops(leg.omissions);
-      stats_.record_noops(noops - leg.omissions);
-      d.noops += noops;
-      d.omissions += leg.omissions;
-      d.interactions += noops;
-      steps_ += noops;
-      if (leg.fire) {
-        const auto [s, r] =
-            pick_changing_pair(InteractionClass::Real, rng);
-        apply_fire(InteractionClass::Real, s, r, d);
-        ++d.interactions;
-        ++steps_;
-        return d;
-      }
-      if (cap == remaining) return d;  // budget exhausted
-      continue;                        // crossed the quiet horizon
-    }
-
-    if (w_omit_ == 0 && omit_->remaining_budget() > cap) {
-      // Omissive draws are global no-ops, the burst cap can never bind
-      // again, and the budget cannot run out mid-leap: geometric run to
-      // the next (necessarily real) change, binomial split of the no-ops
-      // into real and omissive draws.
-      const double wr = static_cast<double>(w_real_) / static_cast<double>(t);
-      const double rho = (1.0 - p) * wr;  // per-delivery change probability
-      const std::size_t run = leap::sample_bernoulli_run(rho, rng, cap);
-      PPFS_METRIC(m_leap_len_, record(run));
-      if (run > 0) {
-        const double q_om = p / (1.0 - rho);  // P(omissive | no-op)
-        const std::size_t om = leap::sample_binomial(run, q_om, rng);
-        omit_->note_omissions(om);
-        stats_.record_omissive_noops(om);
-        stats_.record_noops(run - om);
-        d.noops += run;
-        d.omissions += om;
-        d.interactions += run;
-        steps_ += run;
-      }
-      if (run == cap) {
-        if (cap == remaining) return d;  // budget exhausted
-        continue;                        // crossed the quiet horizon
-      }
-      const auto [s, r] = pick_changing_pair(InteractionClass::Real, rng);
-      apply_fire(InteractionClass::Real, s, r, d);
-      ++d.interactions;
-      ++steps_;
-      return d;
-    }
-
-    if (capped && omit_->burst() >= omit_->max_burst()) {
-      // A full burst forces the next delivery to be real (no rate coin).
-      omit_->set_burst(0);
-      ++d.interactions;
-      ++steps_;
-      if (w_real_ > 0 && rng.below(t) < w_real_) {
-        const auto [s, r] =
-            pick_changing_pair(InteractionClass::Real, rng);
-        apply_fire(InteractionClass::Real, s, r, d);
-        return d;
-      }
-      stats_.record_noops(1);
-      ++d.noops;
-      continue;
-    }
-
-    // Event-punctuated leap: an "event" is an omissive delivery or a real
-    // count-change; the run of real no-ops before it is geometric (every
-    // real delivery resets the burst, so the omission probability is p
-    // throughout the run).
-    const double wr = static_cast<double>(w_real_) / static_cast<double>(t);
-    const double sigma = p + (1.0 - p) * wr;
-    const std::size_t run = leap::sample_bernoulli_run(sigma, rng, cap);
-    PPFS_METRIC(m_leap_len_, record(run));
-    if (run > 0) {
-      stats_.record_noops(run);
-      d.noops += run;
-      d.interactions += run;
-      steps_ += run;
-      omit_->set_burst(0);
-    }
-    if (run == cap) {
-      if (cap == remaining) return d;
-      continue;
-    }
-    if (rng.chance(p / sigma)) {
-      // Omissive delivery; it changes counts with exact probability Wo/T.
-      omit_->note_omissions(1);
-      omit_->set_burst(omit_->burst() + 1);
-      ++d.omissions;
-      if (w_omit_ > 0 && rng.below(t) < w_omit_) {
-        const InteractionClass c = omit_class_;
-        const auto [s, r] = pick_changing_pair(c, rng);
-        apply_fire(c, s, r, d);
-        ++d.interactions;
-        ++steps_;
-        return d;
-      }
-      stats_.record_omissive_noops(1);
-      ++d.noops;
-      ++d.interactions;
-      ++steps_;
-      continue;  // budget/horizon/burst state may have changed
-    }
-    const auto [s, r] = pick_changing_pair(InteractionClass::Real, rng);
-    apply_fire(InteractionClass::Real, s, r, d);
-    omit_->set_burst(0);
-    ++d.interactions;
-    ++steps_;
-    return d;
-  }
+  LeapHooks hooks{*this};
+  leap::advance_with_omissions(hooks, budget, rng, d);
   return d;
 }
 

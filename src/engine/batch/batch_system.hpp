@@ -18,28 +18,10 @@
 // count-changing ordered pairs and T = n(n-1); exact Bernoulli trials when
 // W/T >= 1/64, floating-point inversion (error ~1e-16) below that.
 //
-// With an omission process attached, each delivered interaction is
-// omissive with probability p = rate, independently, while the process is
-// active (budget remaining, before the NO quiet horizon) — the burst cap
-// of the step-wise path is treated as unbounded here (bursts are finite
-// a.s. for rate < 1; EngineDispatch normalizes max_burst away so both
-// engines realize the same distribution). Leaps split each no-op run into
-// real and omissive draws exactly:
-//
-//   * omissions cannot change counts (their class weight Wo = 0) and the
-//     budget cannot run out mid-leap: the run until the next change is
-//     geometric with success (1-p)·Wr/T and the omissive draws inside it
-//     are recovered by binomial splitting — exact Bernoulli or
-//     geometric-gap sampling except when both binomial tails are heavy
-//     (mean >= 256 each side), where a normal approximation with
-//     negligible relative error tallies them; the split never decides
-//     which rule fires;
-//   * otherwise the leap is punctuated by "events" (omissive deliveries
-//     and real count-changes): the run of real no-ops before an event is
-//     geometric with success p + (1-p)·Wr/T, the event is classified
-//     omissive with probability p over that, and an omissive event changes
-//     counts with exact integer probability Wo/T. Each omissive delivery
-//     costs O(1), so Budget(o) adversaries add O(o) total work to a run.
+// With an omission process attached, advance() runs the shared
+// omission-aware leap (leap::advance_with_omissions, leap_sampling.hpp),
+// burst cap included; an omissive event changes counts with exact integer
+// probability Wo/T, Wo the omissive class's changing weight.
 //
 // The changing weights Wr / Wo are maintained INCREMENTALLY: each class
 // keeps a fixed enumeration of its count-changing pairs (is_noop depends
@@ -164,6 +146,8 @@ class BatchSystem {
  private:
   friend class RoundSystem;    // the round-dense face shares this state
   friend struct AuditTestPeer;  // mutation-smoke state corruption (tests)
+
+  struct LeapHooks;  // this system's steps of leap::advance_with_omissions
 
   // Weight of ordered pair (s, r): C[s] * (C[r] - [s == r]).
   [[nodiscard]] std::uint64_t pair_weight(State s, State r) const noexcept;

@@ -67,15 +67,9 @@ class NativeEngine final : public Engine {
   std::size_t advance(std::size_t budget, Scheduler& sched, Rng& rng) override {
     const RuleMatrix& rules = sys_.rules();
     for (std::size_t i = 0; i < budget; ++i) {
-      Interaction ia;
-      if (omit_ && omit_->should_omit(rng, sys_.steps())) {
-        // Uniform victim pair, struck on the adversary's configured side.
-        ia = uniform_ordered_pair(rng, sys_.size());
-        ia.omissive = true;
-        ia.side = omit_->params().side;
-      } else {
-        ia = sched.next(rng, sys_.steps());
-      }
+      const Interaction ia =
+          omit_ ? omit_->next(sched, rng, sys_.steps(), sys_.size())
+                : sched.next(rng, sys_.steps());
       const State s = sys_.state(ia.starter);
       const State r = sys_.state(ia.reactor);
       const InteractionClass cls = rules.classify(ia);
@@ -309,9 +303,8 @@ class AdaptiveBatchEngine final : public Engine {
 };
 
 // Step-wise simulator behind the Engine interface: the per-agent facade of
-// the (simulator x engine) lattice. Event recording is off — engine runs
-// are throughput/convergence runs; verification-grade runs use the
-// Simulator directly.
+// the (simulator x engine) lattice. Event recording starts off; runs that
+// verify Definition-3 matching turn it on through simulator().
 class SimNativeEngine final : public Engine {
  public:
   SimNativeEngine(std::unique_ptr<Simulator> sim,
@@ -343,14 +336,9 @@ class SimNativeEngine final : public Engine {
   std::size_t advance(std::size_t budget, Scheduler& sched, Rng& rng) override {
     const std::size_t n = sim_->num_agents();
     for (std::size_t i = 0; i < budget; ++i) {
-      Interaction ia;
-      if (omit_ && omit_->should_omit(rng, sim_->interactions())) {
-        ia = uniform_ordered_pair(rng, n);
-        ia.omissive = true;
-        ia.side = omit_->params().side;
-      } else {
-        ia = sched.next(rng, sim_->interactions());
-      }
+      const Interaction ia =
+          omit_ ? omit_->next(sched, rng, sim_->interactions(), n)
+                : sched.next(rng, sim_->interactions());
       // Fire/no-op at the simulated level: did the interaction emit any
       // simulated update? Recorded against the agents' projected
       // pre-states.
@@ -371,6 +359,8 @@ class SimNativeEngine final : public Engine {
   }
 
   [[nodiscard]] RunStats& stats() noexcept override { return stats_; }
+
+  [[nodiscard]] Simulator* simulator() noexcept override { return sim_.get(); }
 
   void sync_metrics() override {
     Engine::sync_metrics();
@@ -1012,31 +1002,30 @@ std::unique_ptr<Engine> make_sim_engine(const std::string& kind,
                                         std::shared_ptr<const Protocol> protocol,
                                         std::vector<State> initial,
                                         const SimEngineConfig& config) {
-  Model model = config.model.value_or(default_sim_model(config.spec));
-  std::optional<AdversaryParams> adversary = config.adversary;
-  if (adversary && adversary->rate <= 0.0) adversary.reset();
-  // Same lifting as make_engine: both engine kinds realize one omission
+  // Same lifting as make_engine: every engine kind realizes one omission
   // process (max_burst included — the batch path samples the within-burst
   // chain exactly).
-  if (adversary && !is_omissive(model)) model = omissive_closure(model);
+  const ResolvedConfig r = resolve(
+      {config.model.value_or(default_sim_model(config.spec)), {},
+       config.adversary});
   if (kind == "native") {
     return std::make_unique<SimNativeEngine>(
-        make_spec_simulator(config.spec, model, std::move(protocol),
+        make_spec_simulator(config.spec, r.model, std::move(protocol),
                             std::move(initial)),
-        adversary);
+        r.adversary);
   }
   if (kind == "batch") {
-    auto rules = make_sim_rule_source(config.spec, model, std::move(protocol),
-                                      initial.size());
+    auto rules = make_sim_rule_source(config.spec, r.model,
+                                      std::move(protocol), initial.size());
     return std::make_unique<SimBatchEngine>(std::move(rules), initial,
-                                            adversary,
+                                            r.adversary,
                                             config.outcome_cache_capacity);
   }
   if (kind == "auto") {
     std::shared_ptr<DynamicRuleSource> rules = make_sim_rule_source(
-        config.spec, model, std::move(protocol), initial.size());
+        config.spec, r.model, std::move(protocol), initial.size());
     return std::make_unique<AutoSimEngine>(std::move(rules), initial,
-                                           adversary,
+                                           r.adversary,
                                            config.outcome_cache_capacity,
                                            config.auto_force_switch_at);
   }

@@ -80,6 +80,12 @@ class Engine {
   // attribute interactions and return false, leaving the sink unset.
   virtual bool record_trace(Trace* sink);
 
+  // The step-wise Simulator this engine drives — non-null only for the
+  // native simulator engine (make_sim_engine("native")). Callers use it to
+  // record SimEvents for matching verification (recording starts off) and
+  // to read the simulator's own statistics.
+  [[nodiscard]] virtual Simulator* simulator() noexcept { return nullptr; }
+
   // Diagnostic: live states of the engine's execution universe (the
   // protocol's states for closed-universe engines; currently occupied
   // interned wrapper states for simulator engines).
@@ -218,7 +224,8 @@ struct SimEngineConfig {
 // projection pi_P — run_engine_until therefore detects convergence on the
 // simulated configuration — while interactions()/omissions() count
 // physical events. kind "native" drives the step-wise Simulator facade
-// (per-agent, event recording off); "batch" the open-universe count-space
+// (per-agent, event recording off until turned on through
+// Engine::simulator()); "batch" the open-universe count-space
 // engine (SimBatchSystem), which is how SKnO/SID/naming reach n = 10^6;
 // "auto" starts on whichever representation the initial dispersion favors
 // and may switch between count space and a direct agent-space driver at

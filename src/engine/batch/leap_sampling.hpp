@@ -1,16 +1,22 @@
 // Shared leap samplers for the count-space engines (BatchSystem over dense
 // closed universes, SimBatchSystem over sparse open ones): geometric no-op
 // run lengths with exact integer trials in the dense regime and
-// floating-point inversion in the sparse one, and the binomial splitter
-// that tallies omissive no-ops inside a leap. See the BatchSystem header
-// for the exactness discussion; these are the single implementation both
-// engines draw from.
+// floating-point inversion in the sparse one, the binomial splitter that
+// tallies omissive no-ops inside a leap, and advance_with_omissions, the
+// one omission-aware leap loop both engines run. These are the single
+// implementation both engines draw from.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <utility>
 
+#include "engine/batch/configuration.hpp"
+#include "engine/stats.hpp"
+#include "obs/metrics.hpp"
+#include "sched/omission_process.hpp"
 #include "util/rng.hpp"
 
 namespace ppfs::leap {
@@ -201,6 +207,163 @@ inline BurstLeg sample_capped_burst_leg(double p, std::uint64_t w,
     // forced real, budget -> real tail, delivery cap -> return).
   }
   return leg;
+}
+
+// The omission-aware count-space leap (Def. 1–2 adversaries), shared by
+// BatchSystem and SimBatchSystem: cover at most `budget` interactions of
+// the uniform scheduler, adding them to `d`, and return after the first
+// count change (or when the budget runs out).
+//
+// Without an active omission process the run of no-ops before the next
+// real count change is geometric with success W/T (W the real changing
+// weight, T the pair total). With one, each delivery is an inserted
+// omission with probability p = rate while the process is active (budget
+// left, before the NO quiet horizon), at most max_burst in a row. Leaps
+// never cross the quiet horizon, and split exactly into real and omissive
+// draws:
+//
+//   * omissive deliveries are global no-ops and the burst cap can bind:
+//     the within-burst Markov chain, one burst episode per draw
+//     (sample_capped_burst_leg);
+//   * omissive deliveries are global no-ops, the cap cannot bind and the
+//     budget cannot run out mid-leap: the run to the next change is
+//     geometric with success (1-p)·W/T, and the omissive draws inside it
+//     are recovered by one binomial split (which never decides which rule
+//     fires);
+//   * a full burst forces the next delivery real, with no rate coin;
+//   * otherwise the leap is punctuated by "events" (omissive deliveries
+//     and real count changes): the run of real no-ops before one is
+//     geometric with success p + (1-p)·W/T, the event is omissive with
+//     probability p over that, and each omissive delivery is resolved by
+//     the system itself. Each costs O(1), so Budget(o) adds O(o) work.
+//
+// `Sys` supplies the system-specific steps, resolved at compile time:
+//   OmissionProcess* omission();   // null when no adversary is attached
+//   std::size_t& steps();          // the system's interaction counter
+//   RunStats& stats();
+//   obs::Histogram* leap_len();    // leap-length histogram, or null
+//   std::pair<std::uint64_t, std::uint64_t> real_weight();  // (W, T) now
+//   bool omission_transparent();   // omissive deliveries change nothing
+//   void fire_real(std::uint64_t w, Rng&, BatchDelta&);
+//       // one real count-changing delivery, counted in d and steps()
+//   bool omissive_delivery(std::uint64_t t, Rng&, BatchDelta&);
+//       // one omissive delivery: true (counted) if it changed counts,
+//       // false (uncounted) if it was a no-op
+template <class Sys>
+void advance_with_omissions(Sys& sys, std::size_t budget, Rng& rng,
+                            BatchDelta& d) {
+  std::size_t& steps = sys.steps();
+  RunStats& stats = sys.stats();
+  // `real` real and `omitted` omissive deliveries that changed nothing.
+  const auto pass = [&](std::size_t real, std::size_t omitted) {
+    stats.record_noops(real);
+    stats.record_omissive_noops(omitted);
+    d.noops += real + omitted;
+    d.interactions += real + omitted;
+    steps += real + omitted;
+  };
+  while (d.interactions < budget) {
+    const std::size_t remaining = budget - d.interactions;
+    const auto [w, t] = sys.real_weight();
+    OmissionProcess* omit = sys.omission();
+
+    if (omit == nullptr || !omit->active(steps)) {
+      // No insertable omissions now or ever again (inactivity is
+      // absorbing): the exact integer leap.
+      if (w == 0) {
+        pass(remaining, 0);
+        return;
+      }
+      const std::size_t skipped = sample_noop_run(w, t, rng, remaining);
+      PPFS_METRIC(sys.leap_len(), record(skipped));
+      pass(skipped, 0);
+      if (skipped < remaining) sys.fire_real(w, rng, d);
+      return;
+    }
+
+    const double p = omit->rate();
+    const auto note = [&](std::size_t omissions) {
+      omit->note_omissions(omissions);
+      d.omissions += omissions;
+    };
+    // Never leap across the NO quiet horizon: the omission probability
+    // flips to zero there, which the next loop iteration picks up.
+    std::size_t cap = remaining;
+    if (omit->quiet_after() != std::numeric_limits<std::size_t>::max() &&
+        omit->quiet_after() > steps)
+      cap = std::min(cap, omit->quiet_after() - steps);
+    const double wr = static_cast<double>(w) / static_cast<double>(t);
+    const bool capped = omit->burst_cap_reachable();
+
+    if (sys.omission_transparent() && capped) {
+      std::size_t burst = omit->burst();
+      const BurstLeg leg =
+          sample_capped_burst_leg(p, w, t, omit->max_burst(), burst,
+                                  omit->remaining_budget(), cap, rng);
+      omit->set_burst(burst);
+      note(leg.omissions);
+      pass(leg.deliveries - (leg.fire ? 1 : 0) - leg.omissions,
+           leg.omissions);
+      if (leg.fire) {
+        sys.fire_real(w, rng, d);
+        return;
+      }
+      if (cap == remaining) return;  // budget exhausted
+      continue;                      // crossed the quiet horizon
+    }
+
+    if (sys.omission_transparent() && omit->remaining_budget() > cap) {
+      const double rho = (1.0 - p) * wr;  // per-delivery change probability
+      const std::size_t run = sample_bernoulli_run(rho, rng, cap);
+      PPFS_METRIC(sys.leap_len(), record(run));
+      if (run > 0) {
+        const double q_om = p / (1.0 - rho);  // P(omissive | no-op)
+        const std::size_t om = sample_binomial(run, q_om, rng);
+        note(om);
+        pass(run - om, om);
+      }
+      if (run == cap) {
+        if (cap == remaining) return;  // budget exhausted
+        continue;                      // crossed the quiet horizon
+      }
+      sys.fire_real(w, rng, d);
+      return;
+    }
+
+    if (capped && omit->burst() >= omit->max_burst()) {
+      omit->set_burst(0);
+      if (w > 0 && rng.below(t) < w) {
+        sys.fire_real(w, rng, d);
+        return;
+      }
+      pass(1, 0);
+      continue;
+    }
+
+    // Event-punctuated leap (every real delivery resets the burst, so the
+    // omission probability is p throughout the run).
+    const double sigma = p + (1.0 - p) * wr;
+    const std::size_t run = sample_bernoulli_run(sigma, rng, cap);
+    PPFS_METRIC(sys.leap_len(), record(run));
+    if (run > 0) {
+      pass(run, 0);
+      omit->set_burst(0);
+    }
+    if (run == cap) {
+      if (cap == remaining) return;
+      continue;
+    }
+    if (rng.chance(p / sigma)) {
+      note(1);
+      omit->set_burst(omit->burst() + 1);
+      if (sys.omissive_delivery(t, rng, d)) return;
+      pass(0, 1);
+      continue;  // budget/horizon/burst state may have changed
+    }
+    sys.fire_real(w, rng, d);
+    omit->set_burst(0);
+    return;
+  }
 }
 
 namespace detail {

@@ -1,6 +1,5 @@
 #include "engine/batch/sim_batch_system.hpp"
 
-#include <limits>
 #include <stdexcept>
 
 #include "engine/batch/alias_sampler.hpp"
@@ -332,6 +331,37 @@ void SimBatchSystem::fire_real(std::uint64_t w, Rng& rng, BatchDelta& d) {
   PPFS_TIMER_END(t0, m_time_fire_);
 }
 
+// SimBatchSystem's steps of leap::advance_with_omissions: each omissive
+// delivery draws its victim pair hypergeometrically and applies whatever
+// the omissive class's (cached) outcome is — identical in distribution to
+// BatchSystem's Wo/T split, O(1) index work per delivered omission.
+struct SimBatchSystem::LeapHooks {
+  SimBatchSystem& sys;
+
+  OmissionProcess* omission() { return sys.omit_ ? &*sys.omit_ : nullptr; }
+  std::size_t& steps() { return sys.steps_; }
+  RunStats& stats() { return sys.stats_; }
+  obs::Histogram* leap_len() { return sys.m_leap_len_; }
+  std::pair<std::uint64_t, std::uint64_t> real_weight() {
+    return sys.real_weight();
+  }
+  bool omission_transparent() const {
+    return sys.rules_->omission_transparent();
+  }
+  void fire_real(std::uint64_t w, Rng& rng, BatchDelta& d) {
+    sys.fire_real(w, rng, d);
+  }
+  bool omissive_delivery(std::uint64_t, Rng& rng, BatchDelta& d) {
+    const auto [s, r] = sys.draw_any_pair(rng);
+    const StatePair out = sys.rules_->outcome_cached(sys.omit_class_, s, r);
+    if (out.starter == s && out.reactor == r) return false;
+    sys.apply_fire(sys.omit_class_, s, r, out, d);
+    ++d.interactions;
+    ++sys.steps_;
+    return true;
+  }
+};
+
 BatchDelta SimBatchSystem::advance(std::size_t budget, Rng& rng) {
   BatchDelta d;
   // Factored hot loop (SKnO without an active omission process): the
@@ -368,7 +398,7 @@ BatchDelta SimBatchSystem::advance(std::size_t budget, Rng& rng) {
   }
   // Dense adaptive path (general mode): while fires are frequent, direct
   // steps beat weight maintenance — no O(occupied^2) scans at all. A
-  // no-op streak of kLeapThreshold hands over to the leap machinery below.
+  // no-op streak of leap_threshold() hands over to the shared leap below.
   if (!factored_) {
     const std::size_t threshold = leap_threshold();
     while (d.interactions < budget && noop_streak_ < threshold) {
@@ -376,150 +406,8 @@ BatchDelta SimBatchSystem::advance(std::size_t budget, Rng& rng) {
     }
     if (d.interactions >= budget) return d;
   }
-  while (d.interactions < budget) {
-    const std::size_t remaining = budget - d.interactions;
-    const auto [w, t] = real_weight();
-
-    if (!omit_ || !omit_->active(steps_)) {
-      // No insertable omissions now or ever again (inactivity is
-      // absorbing): the exact integer leap.
-      if (w == 0) {
-        d.interactions += remaining;
-        d.noops += remaining;
-        steps_ += remaining;
-        stats_.record_noops(remaining);
-        return d;
-      }
-      const std::size_t skipped = leap::sample_noop_run(w, t, rng, remaining);
-      PPFS_METRIC(m_leap_len_, record(skipped));
-      d.noops += skipped;
-      d.interactions += skipped;
-      steps_ += skipped;
-      stats_.record_noops(skipped);
-      if (skipped == remaining) return d;
-      fire_real(w, rng, d);
-      return d;
-    }
-
-    const double p = omit_->rate();
-    // Never leap across the NO quiet horizon: the omission probability
-    // flips to zero there, which the next loop iteration picks up.
-    std::size_t cap = remaining;
-    if (omit_->quiet_after() != std::numeric_limits<std::size_t>::max() &&
-        omit_->quiet_after() > steps_)
-      cap = std::min(cap, omit_->quiet_after() - steps_);
-
-    const double wr = static_cast<double>(w) / static_cast<double>(t);
-    const bool capped = omit_->burst_cap_reachable();
-    if (rules_->omission_transparent() && capped) {
-      // Omissive draws are global no-ops (reactor-side-only simulators)
-      // but the burst cap binds: sample the within-burst Markov chain
-      // exactly, one burst episode at a time (budget exhaustion is
-      // handled inside the leg).
-      std::size_t burst = omit_->burst();
-      const leap::BurstLeg leg = leap::sample_capped_burst_leg(
-          p, w, t, omit_->max_burst(), burst, omit_->remaining_budget(), cap,
-          rng);
-      omit_->set_burst(burst);
-      omit_->note_omissions(leg.omissions);
-      const std::size_t noops = leg.deliveries - (leg.fire ? 1 : 0);
-      stats_.record_omissive_noops(leg.omissions);
-      stats_.record_noops(noops - leg.omissions);
-      d.noops += noops;
-      d.omissions += leg.omissions;
-      d.interactions += noops;
-      steps_ += noops;
-      if (leg.fire) {
-        fire_real(w, rng, d);
-        return d;
-      }
-      if (cap == remaining) return d;  // budget exhausted
-      continue;                        // crossed the quiet horizon
-    }
-
-    if (rules_->omission_transparent() && omit_->remaining_budget() > cap) {
-      // Omissive draws are global no-ops, the burst cap can never bind
-      // again, and the budget cannot run out mid-leap: geometric run to
-      // the next (necessarily real) change, binomial split of the no-ops
-      // into real and omissive draws.
-      const double rho = (1.0 - p) * wr;
-      const std::size_t run = leap::sample_bernoulli_run(rho, rng, cap);
-      PPFS_METRIC(m_leap_len_, record(run));
-      if (run > 0) {
-        const double q_om = p / (1.0 - rho);  // P(omissive | no-op)
-        const std::size_t om = leap::sample_binomial(run, q_om, rng);
-        omit_->note_omissions(om);
-        stats_.record_omissive_noops(om);
-        stats_.record_noops(run - om);
-        d.noops += run;
-        d.omissions += om;
-        d.interactions += run;
-        steps_ += run;
-      }
-      if (run == cap) {
-        if (cap == remaining) return d;  // budget exhausted
-        continue;                        // crossed the quiet horizon
-      }
-      fire_real(w, rng, d);
-      return d;
-    }
-
-    if (capped && omit_->burst() >= omit_->max_burst()) {
-      // A full burst forces the next delivery to be real (no rate coin).
-      omit_->set_burst(0);
-      if (w > 0 && rng.below(t) < w) {
-        fire_real(w, rng, d);
-        return d;
-      }
-      stats_.record_noops(1);
-      ++d.noops;
-      ++d.interactions;
-      ++steps_;
-      continue;
-    }
-
-    // Event-punctuated leap: an "event" is an omissive delivery or a real
-    // count-change; the run of real no-ops before it is geometric (every
-    // real delivery resets the burst, so the omission probability is p
-    // throughout the run). Each omissive delivery draws its victim pair
-    // hypergeometrically and applies the omissive-class outcome, whatever
-    // it is — identical in distribution to BatchSystem's Wo/T split.
-    const double sigma = p + (1.0 - p) * wr;
-    const std::size_t run = leap::sample_bernoulli_run(sigma, rng, cap);
-    PPFS_METRIC(m_leap_len_, record(run));
-    if (run > 0) {
-      stats_.record_noops(run);
-      d.noops += run;
-      d.interactions += run;
-      steps_ += run;
-      omit_->set_burst(0);
-    }
-    if (run == cap) {
-      if (cap == remaining) return d;
-      continue;
-    }
-    if (rng.chance(p / sigma)) {
-      omit_->note_omissions(1);
-      omit_->set_burst(omit_->burst() + 1);
-      ++d.omissions;
-      const auto [s, r] = draw_any_pair(rng);
-      const StatePair out = rules_->outcome_cached(omit_class_, s, r);
-      if (out.starter == s && out.reactor == r) {
-        stats_.record_omissive_noops(1);
-        ++d.noops;
-        ++d.interactions;
-        ++steps_;
-        continue;  // budget/horizon/burst state may have changed
-      }
-      apply_fire(omit_class_, s, r, out, d);
-      ++d.interactions;
-      ++steps_;
-      return d;
-    }
-    fire_real(w, rng, d);
-    omit_->set_burst(0);
-    return d;
-  }
+  LeapHooks hooks{*this};
+  leap::advance_with_omissions(hooks, budget, rng, d);
   return d;
 }
 

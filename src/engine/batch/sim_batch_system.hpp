@@ -36,16 +36,11 @@
 //         Both paths are exact realizations of the same chain, so the
 //         trajectory-dependent switch introduces no bias.
 //
-// Omission adversaries (Def. 1–2) attach exactly as on BatchSystem,
-// burst cap included (the exact within-burst Markov leap — see
-// BatchSystem's header). Leaps split into real and omissive draws:
-// omission-transparent sources (reactor-side-only simulators) use the
-// burst-capped leg or, when the cap cannot bind, the binomial split —
-// omissive draws cannot change counts — while the general path punctuates
-// the leap per omissive delivery (tracking the shared burst counter) and
-// draws the victim pair hypergeometrically, applying whatever the
-// omissive class outcome is (distribution-identical to BatchSystem's
-// Wo/T split, O(1) index work per delivered omission).
+// Omission adversaries (Def. 1–2) attach exactly as on BatchSystem and
+// run the same leap (leap::advance_with_omissions), burst cap included:
+// omission-transparent sources (reactor-side-only simulators) take its
+// no-op legs, every other source resolves each omissive delivery on a
+// hypergeometrically drawn victim pair.
 //
 // Open universes (rule sources with open_universe()) release states whose
 // count returns to zero: ids recycle through the interner's free list, so
@@ -322,6 +317,8 @@ class SimBatchSystem {
 
  private:
   friend struct AuditTestPeer;  // mutation-smoke state corruption (tests)
+
+  struct LeapHooks;  // this system's steps of leap::advance_with_omissions
 
   // (changing weight, total weight) of the Real class under the current
   // counts; the no-op run before the next real count-change is geometric

@@ -4,21 +4,33 @@
 
 namespace ppfs {
 
+namespace {
+
 std::function<bool(const std::vector<std::size_t>&, const Protocol&)>
-workload_counts_probe(const Workload& w) {
-  if (w.converged) {
-    auto probe = w.converged;
-    return [probe](const std::vector<std::size_t>& counts, const Protocol&) {
-      return probe(counts);
-    };
+counts_probe(std::function<bool(const std::vector<std::size_t>&)> converged,
+             int expected) {
+  if (converged) {
+    return [converged](const std::vector<std::size_t>& counts,
+                       const Protocol&) { return converged(counts); };
   }
-  const int expected = w.expected_output;
   return [expected](const std::vector<std::size_t>& counts, const Protocol& p) {
     for (State q = 0; q < counts.size(); ++q) {
       if (counts[q] > 0 && p.output(q) != expected) return false;
     }
     return true;
   };
+}
+
+}  // namespace
+
+std::function<bool(const std::vector<std::size_t>&, const Protocol&)>
+workload_counts_probe(const Workload& w) {
+  return counts_probe(w.converged, w.expected_output);
+}
+
+std::function<bool(const std::vector<std::size_t>&, const Protocol&)>
+workload_counts_probe(const OneWayWorkload& w) {
+  return counts_probe(w.converged, w.expected_output);
 }
 
 RunResult run_native_workload(const Workload& w, std::uint64_t seed,

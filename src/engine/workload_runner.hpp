@@ -5,7 +5,10 @@
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <string>
 
+#include "engine/batch/dispatch.hpp"
 #include "engine/native.hpp"
 #include "engine/runner.hpp"
 #include "protocols/registry.hpp"
@@ -17,6 +20,24 @@ namespace ppfs {
 [[nodiscard]] std::function<bool(const std::vector<std::size_t>&,
                                  const Protocol&)>
 workload_counts_probe(const Workload& w);
+
+// Same, for a one-way workload (counts of its lowered two-way face).
+[[nodiscard]] std::function<bool(const std::vector<std::size_t>&,
+                                 const Protocol&)>
+workload_counts_probe(const OneWayWorkload& w);
+
+// An engine of `kind` over a registry workload's (two-way or one-way)
+// initial configuration: its per-agent vector, or its counts when the
+// registry hands out counts only (above kPerAgentLimit agents, where
+// make_engine_from_counts rejects "native").
+template <class W>
+[[nodiscard]] std::unique_ptr<Engine> make_workload_engine(
+    const std::string& kind, const W& w, const EngineConfig& config) {
+  return w.initial_counts.empty()
+             ? make_engine(kind, w.protocol, w.initial, config)
+             : make_engine_from_counts(kind, w.protocol, w.initial_counts,
+                                       config);
+}
 
 // Run the workload natively (two-way, no omissions). Returns the result;
 // `converged` reflects the workload's own success criterion.

@@ -9,7 +9,6 @@
 
 #include "engine/batch/dispatch.hpp"
 #include "engine/workload_runner.hpp"
-#include "sched/adversary.hpp"
 #include "util/trajectory.hpp"
 #include "sim/naming.hpp"
 #include "sim/sid.hpp"
@@ -115,70 +114,12 @@ void harvest_sim_extras(const Simulator& sim, ReplicaResult& out) {
   }
 }
 
-// Native step-wise simulator replica: the facade path that carries
-// SimEvents, so it is the only place matching verification can run.
-[[nodiscard]] ReplicaResult run_native_sim_replica(const ScenarioSpec& spec,
-                                                   const Workload& w, Rng rng) {
-  const Model model = resolve_model(spec);
-  const SimSpec sim_spec = parse_sim_spec(spec.sim);
-  auto sim = make_spec_simulator(sim_spec, model, w.protocol, w.initial);
-  sim->record_events(spec.verify_matching);
-
-  const AdversaryParams adv = parse_adversary_spec(spec.adversary);
-  std::unique_ptr<Scheduler> sched;
-  if (adv.rate > 0.0) {
-    sched = std::make_unique<OmissionAdversary>(
-        std::make_unique<UniformScheduler>(spec.n), spec.n, adv);
-  } else {
-    sched = std::make_unique<UniformScheduler>(spec.n);
-  }
-
-  ReplicaResult out;
-  const RunOptions opt = resolve_run_options(spec);
-  if (spec.fixed_steps > 0) {
-    out.run = run_steps(*sim, *sched, rng, spec.fixed_steps);
-  } else if (spec.probe == "activation") {
-    const auto* naming = dynamic_cast<const NamingSimulator*>(sim.get());
-    if (naming == nullptr)
-      throw std::invalid_argument(
-          "probe=activation needs sim=naming on the native engine");
-    out.run = run_until(
-        *sim, *sched, rng,
-        [](const Simulator& s) {
-          return static_cast<const NamingSimulator&>(s).all_activated();
-        },
-        opt);
-  } else {
-    auto counts_probe = workload_counts_probe(w);
-    out.run = run_until(
-        *sim, *sched, rng,
-        [&](const Simulator& s) {
-          return counts_probe(s.projected_counts(), *w.protocol);
-        },
-        opt);
-  }
-
-  harvest_sim_extras(*sim, out);
-  if (spec.verify_matching) {
-    const MatchingReport rep =
-        verify_simulation(*sim, spec.max_unmatched_per_n * spec.n);
-    out.extras["sim_pairs"] = static_cast<double>(rep.pairs);
-    out.extras["unmatched"] = static_cast<double>(rep.unmatched);
-    out.extras["matching_ok"] = rep.ok ? 1.0 : 0.0;
-    out.extras["overhead"] =
-        rep.pairs > 0
-            ? static_cast<double>(out.run.steps) / static_cast<double>(rep.pairs)
-            : 0.0;
-  }
-  return out;
-}
-
-// Engine-backed replica: direct runs (two-way or one-way, either engine)
-// and count-space simulator runs. `workload` is the resolved two-way
-// workload, null exactly for one-way direct runs (which resolve the
-// one-way registry here). `resume`/`on_snapshot`/`snapshot_every` carry
-// the sweep service's in-flight checkpoint protocol (see scenario.hpp);
-// run_replica passes nulls and zero.
+// One replica on any engine: direct runs (two-way or one-way) and
+// simulator runs, native simulator replicas included. `workload` is the
+// resolved two-way workload, null exactly for one-way direct runs (which
+// resolve the one-way registry here). `resume`/`on_snapshot`/
+// `snapshot_every` carry the sweep service's in-flight checkpoint
+// protocol (see scenario.hpp); run_replica passes nulls and zero.
 [[nodiscard]] ReplicaResult run_engine_replica(
     const ScenarioSpec& spec, const Workload* workload, Rng rng,
     RunStats* stats_out, const ReplicaSnapshot* resume,
@@ -196,27 +137,34 @@ void harvest_sim_extras(const Simulator& sim, ReplicaResult& out) {
     engine = make_sim_engine(spec.engine, workload->protocol,
                              workload->initial, config);
     probe = workload_counts_probe(*workload);
-  } else if (workload == nullptr) {
-    EngineConfig config;
-    config.model = model;
-    if (adv.rate > 0.0) config.adversary = adv;
-    const OneWayWorkload w =
-        find_one_way_workload(spec.workload, spec.n, model);
-    engine = make_engine(spec.engine, w.protocol, w.initial, config);
-    auto conv = w.converged;
-    const int expect = w.expected_output;
-    probe = [conv, expect](const std::vector<std::size_t>& counts,
-                           const Protocol& p) {
-      if (conv) return conv(counts);
-      return counts_consensus_output(counts, p) == expect;
-    };
   } else {
     EngineConfig config;
     config.model = model;
     if (adv.rate > 0.0) config.adversary = adv;
-    engine = make_engine(spec.engine, workload->protocol, workload->initial,
-                         config);
-    probe = workload_counts_probe(*workload);
+    if (workload == nullptr) {
+      const OneWayWorkload w =
+          find_one_way_workload(spec.workload, spec.n, model);
+      engine = make_workload_engine(spec.engine, w, config);
+      probe = workload_counts_probe(w);
+    } else {
+      engine = make_workload_engine(spec.engine, *workload, config);
+      probe = workload_counts_probe(*workload);
+    }
+  }
+
+  // The step-wise simulator facade (native simulator engines only) carries
+  // the SimEvents that matching verification reads, and naming's
+  // activation flags.
+  Simulator* const sim = engine->simulator();
+  if (sim != nullptr) sim->record_events(spec.verify_matching);
+  if (spec.probe == "activation") {
+    const auto* naming = dynamic_cast<const NamingSimulator*>(sim);
+    if (naming == nullptr)
+      throw std::invalid_argument(
+          "probe=activation needs engine=native with sim=naming");
+    probe = [naming](const std::vector<std::size_t>&, const Protocol&) {
+      return naming->all_activated();
+    };
   }
 
   UniformScheduler sched(spec.n);
@@ -299,8 +247,22 @@ void harvest_sim_extras(const Simulator& sim, ReplicaResult& out) {
   }
   if (traj) out.traj = traj->data();
   fill_from_stats(out, engine->stats());
-  if (!spec.sim.empty())
+  if (sim != nullptr) {
+    harvest_sim_extras(*sim, out);
+    if (spec.verify_matching) {
+      const MatchingReport rep =
+          verify_simulation(*sim, spec.max_unmatched_per_n * spec.n);
+      out.extras["sim_pairs"] = static_cast<double>(rep.pairs);
+      out.extras["unmatched"] = static_cast<double>(rep.unmatched);
+      out.extras["matching_ok"] = rep.ok ? 1.0 : 0.0;
+      out.extras["overhead"] =
+          rep.pairs > 0 ? static_cast<double>(out.run.steps) /
+                              static_cast<double>(rep.pairs)
+                        : 0.0;
+    }
+  } else if (!spec.sim.empty()) {
     out.extras["live_states"] = static_cast<double>(engine->universe_live());
+  }
   if (recorder) {
     engine->sync_metrics();
     out.flight = recorder->to_jsonl();
@@ -540,16 +502,6 @@ namespace {
   std::optional<Workload> workload;
   if (!one_way_direct)
     workload = spec.custom ? *spec.custom : find_workload(spec.workload, spec.n);
-  if (!spec.sim.empty() && spec.engine == "native") {
-    if (resume != nullptr)
-      throw std::invalid_argument(
-          "run_replica_resumable: native simulator replicas do not "
-          "checkpoint");
-    return run_native_sim_replica(spec, *workload, rng);
-  }
-  if (spec.probe == "activation")
-    throw std::invalid_argument(
-        "probe=activation needs engine=native with sim=naming");
   return run_engine_replica(spec, workload ? &*workload : nullptr, rng,
                             stats_out, resume, on_snapshot, snapshot_every);
 }

@@ -149,9 +149,7 @@ struct ScenarioGrid {
 
 // Execute one replica of `spec` (trial index = RNG stream id). Throws on
 // invalid specs; the runner catches and records errors per replica. If
-// `stats_out` is non-null the replica's full RunStats are copied there
-// (engine-backed runs only; native simulator facade runs have no RunStats
-// and leave it reset).
+// `stats_out` is non-null the replica's full RunStats are copied there.
 [[nodiscard]] ReplicaResult run_replica(const ScenarioSpec& spec,
                                         std::size_t trial,
                                         RunStats* stats_out = nullptr);
@@ -173,10 +171,10 @@ using SnapshotHook = std::function<void(const ReplicaSnapshot&)>;
 // run_replica with mid-run checkpoint support. When `on_snapshot` is set
 // and `snapshot_every` > 0, the replica captures a ReplicaSnapshot at the
 // first probe-slice boundary after each cadence interval — but ONLY when
-// the capture is exactness-safe: an engine-backed probe-loop replica
-// (no native sim facade, no fixed_steps, probe=workload) with
-// metrics_every == 0 and traj_every == 0 whose engine reports
-// checkpoint_exact(). Ineligible replicas simply run without capturing.
+// the capture is exactness-safe: a probe-loop replica (no fixed_steps)
+// with metrics_every == 0 and traj_every == 0 whose engine reports
+// checkpoint_exact() (native engines never do). Ineligible replicas
+// simply run without capturing.
 // A non-null `resume` continues from a previously captured snapshot (the
 // spec/trial must match the one it was captured from; restoring into an
 // ineligible replica throws).

@@ -1,7 +1,9 @@
 #include "protocols/registry.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "core/population.hpp"
 #include "protocols/counting.hpp"
@@ -37,23 +39,21 @@ void set_initial(W& w,
   for (const auto& [q, k] : groups) w.initial_counts[q] += k;
 }
 
-Workload make_or_workload(std::size_t n) {
+Workload make_or_workload(std::string name, std::size_t n) {
   // One agent holds a 1; OR must spread to everyone.
-  Workload w{"or(n=" + std::to_string(n) + ")", make_or_protocol(), {}, 1,
-             nullptr};
+  Workload w{std::move(name), make_or_protocol(), {}, 1, nullptr};
   set_initial(w, {{1, 1}, {0, n - 1}});
   return w;
 }
 
-Workload make_and_workload(std::size_t n) {
+Workload make_and_workload(std::string name, std::size_t n) {
   // One agent holds a 0; AND must converge to 0.
-  Workload w{"and(n=" + std::to_string(n) + ")", make_and_protocol(), {}, 0,
-             nullptr};
+  Workload w{std::move(name), make_and_protocol(), {}, 0, nullptr};
   set_initial(w, {{0, 1}, {1, n - 1}});
   return w;
 }
 
-Workload make_approx_majority_workload(std::size_t n) {
+Workload make_approx_majority_workload(std::string name, std::size_t n) {
   auto p = make_approximate_majority();
   const auto st = approx_majority_states();
   // 2/3 of the agents prefer x. The protocol guarantees the *majority*
@@ -63,22 +63,21 @@ Workload make_approx_majority_workload(std::size_t n) {
   auto conv = [st](const std::vector<std::size_t>& counts) {
     return counts[st.x] == 0 || counts[st.y] == 0;
   };
-  Workload w{"approx-majority(n=" + std::to_string(n) + ")", p, {}, -1,
-             std::move(conv)};
+  Workload w{std::move(name), p, {}, -1, std::move(conv)};
   set_initial(w, {{st.x, nx}, {st.y, n - nx}});
   return w;
 }
 
-Workload make_exact_majority_workload(std::size_t n) {
+Workload make_exact_majority_workload(std::string name, std::size_t n) {
   auto p = make_exact_majority();
   const auto st = exact_majority_states();
   std::size_t nx = n / 2 + 1;  // strict majority for opinion 1
-  Workload w{"exact-majority(n=" + std::to_string(n) + ")", p, {}, 1, nullptr};
+  Workload w{std::move(name), p, {}, 1, nullptr};
   set_initial(w, {{st.big_x, nx}, {st.big_y, n - nx}});
   return w;
 }
 
-Workload make_exact_majority_gap_workload(std::size_t n) {
+Workload make_exact_majority_gap_workload(std::string name, std::size_t n) {
   auto p = make_exact_majority();
   const auto st = exact_majority_states();
   // Margin Theta(n): the simulator-at-scale instance of the same protocol.
@@ -88,45 +87,43 @@ Workload make_exact_majority_gap_workload(std::size_t n) {
   // changes anything), so the count-space simulator demonstrations at
   // n = 10^6 use this large-margin initial configuration.
   const std::size_t nx = n / 2 + std::max<std::size_t>(1, n / 8);
-  Workload w{"exact-majority-gap(n=" + std::to_string(n) + ")", p, {}, 1,
-             nullptr};
+  Workload w{std::move(name), p, {}, 1, nullptr};
   set_initial(w, {{st.big_x, nx}, {st.big_y, n - nx}});
   return w;
 }
 
-Workload make_leader_workload(std::size_t n) {
+Workload make_leader_workload(std::string name, std::size_t n) {
   auto p = make_leader_election();
   const auto st = leader_states();
   auto conv = [st](const std::vector<std::size_t>& counts) {
     return counts[st.leader] == 1;
   };
-  Workload w{"leader(n=" + std::to_string(n) + ")", p, {}, -1, std::move(conv)};
+  Workload w{std::move(name), p, {}, -1, std::move(conv)};
   set_initial(w, {{st.leader, n}});
   return w;
 }
 
-Workload make_threshold_workload(std::size_t n, std::size_t k, bool above) {
+template <std::size_t k, bool above>
+Workload make_threshold_workload(std::string name, std::size_t n) {
   auto p = make_threshold_counting(k);
   // `above`: k ones present (predicate true); else k-1 ones (false).
   const std::size_t ones = above ? k : k - 1;
   if (ones > n) throw std::invalid_argument("threshold workload: ones > n");
-  Workload w{"threshold" + std::to_string(k) + (above ? "-true" : "-false") +
-                 "(n=" + std::to_string(n) + ")",
-             p, {}, above ? 1 : 0, nullptr};
+  Workload w{std::move(name), p, {}, above ? 1 : 0, nullptr};
   set_initial(w, {{1, ones}, {0, n - ones}});
   return w;
 }
 
-Workload make_mod_workload(std::size_t n, std::size_t m) {
+template <std::size_t m>
+Workload make_mod_workload(std::string name, std::size_t n) {
   const std::size_t ones = std::max<std::size_t>(1, n / 2);
   auto p = make_mod_counting(m, ones % m);
-  Workload w{"mod" + std::to_string(m) + "(n=" + std::to_string(n) + ")", p, {},
-             1, nullptr};
+  Workload w{std::move(name), p, {}, 1, nullptr};
   set_initial(w, {{1, ones}, {0, n - ones}});
   return w;
 }
 
-Workload make_pairing_workload(std::size_t n) {
+Workload make_pairing_workload(std::string name, std::size_t n) {
   auto p = make_pairing_protocol();
   const auto st = pairing_states();
   const std::size_t producers = n / 2;
@@ -135,125 +132,167 @@ Workload make_pairing_workload(std::size_t n) {
   auto conv = [st, expect_cs](const std::vector<std::size_t>& counts) {
     return counts[st.critical] == expect_cs;
   };
-  Workload w{"pairing(n=" + std::to_string(n) + ")", p, {}, -1,
-             std::move(conv)};
+  Workload w{std::move(name), p, {}, -1, std::move(conv)};
   set_initial(w, {{st.consumer, consumers}, {st.producer, producers}});
   return w;
+}
+
+OneWayWorkload make_io_or_workload(std::string name, std::size_t n) {
+  OneWayWorkload w{std::move(name), make_io_or(), {}, true, 1, nullptr};
+  set_initial(w, {{1, 1}, {0, n - 1}});
+  return w;
+}
+
+OneWayWorkload make_io_max_workload(std::string name, std::size_t n) {
+  OneWayWorkload w{std::move(name), make_io_max(8), {}, true, 7, nullptr};
+  if (n <= kPerAgentLimit) {
+    std::vector<State> init(n, 0);
+    for (std::size_t i = 0; i < n; ++i) init[i] = static_cast<State>(i % 7);
+    init[0] = 7;  // unique maximum to spread
+    w.initial = std::move(init);
+  } else {
+    // Counts form of the same i % 7 spread with agent 0 lifted to 7.
+    w.initial_counts.assign(8, 0);
+    for (std::size_t q = 0; q < 7; ++q)
+      w.initial_counts[q] = n / 7 + (q < n % 7 ? 1 : 0);
+    --w.initial_counts[0];
+    w.initial_counts[7] = 1;
+  }
+  return w;
+}
+
+OneWayWorkload make_io_leader_workload(std::string name, std::size_t n) {
+  auto conv = [](const std::vector<std::size_t>& counts) {
+    return counts[0] == 1;  // exactly one leader
+  };
+  OneWayWorkload w{std::move(name), make_io_leader(), {}, true, -1,
+                   std::move(conv)};
+  set_initial(w, {{0, n}});
+  return w;
+}
+
+OneWayWorkload make_io_majority_workload(std::string name, std::size_t n) {
+  // 2/3 majority for x; converged once one opinion is extinct. The
+  // workload stands in for exact majority on one-way models (see
+  // make_io_cancellation_majority).
+  const auto st = io_majority_states();
+  const std::size_t nx = std::max<std::size_t>(2 * n / 3, 1);
+  auto conv = [st](const std::vector<std::size_t>& counts) {
+    return counts[st.x] == 0 || counts[st.y] == 0;
+  };
+  OneWayWorkload w{std::move(name), make_io_cancellation_majority(), {}, true,
+                   -1, std::move(conv)};
+  set_initial(w, {{st.x, nx}, {st.y, n - nx}});
+  return w;
+}
+
+OneWayWorkload make_beacon_or_workload(std::string name, std::size_t n) {
+  // IT-only: non-identity g (beacon phase), OR over the bit halves.
+  auto conv = [](const std::vector<std::size_t>& counts) {
+    return counts[0] == 0 && counts[1] == 0;  // every bit is 1
+  };
+  OneWayWorkload w{std::move(name), make_it_or_with_beacon(), {}, false, -1,
+                   std::move(conv)};
+  set_initial(w, {{2, 1}, {0, n - 1}});
+  return w;
+}
+
+// The suites as (name stem, factory) tables, in resolution order. A
+// workload's name is its stem plus "(n=...)"; lookups match a prefix of
+// that name and build only the entry they return.
+template <class W>
+struct Entry {
+  const char* stem;
+  W (*make)(std::string name, std::size_t n);
+};
+
+const Entry<Workload> kStandard[] = {
+    {"or", make_or_workload},
+    {"and", make_and_workload},
+    {"approx-majority", make_approx_majority_workload},
+    {"exact-majority", make_exact_majority_workload},
+    {"exact-majority-gap", make_exact_majority_gap_workload},
+    {"leader", make_leader_workload},
+    {"threshold3-true", make_threshold_workload<3, true>},
+    {"threshold3-false", make_threshold_workload<3, false>},
+    {"mod3", make_mod_workload<3>},
+    {"pairing", make_pairing_workload},
+};
+
+const Entry<OneWayWorkload> kOneWay[] = {
+    {"or", make_io_or_workload},
+    {"max", make_io_max_workload},
+    {"leader", make_io_leader_workload},
+    {"exact-majority-1way", make_io_majority_workload},
+    {"beacon-or", make_beacon_or_workload},
+};
+
+[[nodiscard]] std::string sized_name(const char* stem, std::size_t n) {
+  return std::string(stem) + "(n=" + std::to_string(n) + ")";
+}
+
+template <class W, std::size_t K>
+[[nodiscard]] std::vector<W> build_all(const Entry<W> (&table)[K],
+                                       std::size_t n) {
+  std::vector<W> out;
+  out.reserve(K);
+  for (const Entry<W>& e : table) out.push_back(e.make(sized_name(e.stem, n), n));
+  return out;
+}
+
+// The first entry whose sized name starts with `name`, built; nullopt if
+// none matches.
+template <class W, std::size_t K>
+[[nodiscard]] std::optional<W> build_first(const Entry<W> (&table)[K],
+                                           const std::string& name,
+                                           std::size_t n) {
+  for (const Entry<W>& e : table) {
+    std::string sized = sized_name(e.stem, n);
+    if (sized.rfind(name, 0) == 0) return e.make(std::move(sized), n);
+  }
+  return std::nullopt;
 }
 
 }  // namespace
 
 std::vector<Workload> standard_workloads(std::size_t n) {
   if (n < 4) throw std::invalid_argument("standard_workloads: n >= 4 required");
-  std::vector<Workload> out;
-  out.push_back(make_or_workload(n));
-  out.push_back(make_and_workload(n));
-  out.push_back(make_approx_majority_workload(n));
-  out.push_back(make_exact_majority_workload(n));
-  out.push_back(make_exact_majority_gap_workload(n));
-  out.push_back(make_leader_workload(n));
-  out.push_back(make_threshold_workload(n, 3, true));
-  out.push_back(make_threshold_workload(n, 3, false));
-  out.push_back(make_mod_workload(n, 3));
-  out.push_back(make_pairing_workload(n));
-  return out;
+  return build_all(kStandard, n);
 }
 
 std::vector<Workload> core_workloads(std::size_t n) {
   if (n < 4) throw std::invalid_argument("core_workloads: n >= 4 required");
   std::vector<Workload> out;
-  out.push_back(make_or_workload(n));
-  out.push_back(make_exact_majority_workload(n));
-  out.push_back(make_leader_workload(n));
-  out.push_back(make_pairing_workload(n));
+  for (const char* name : {"or(", "exact-majority(", "leader(", "pairing("})
+    out.push_back(*build_first(kStandard, name, n));
   return out;
 }
 
 std::vector<OneWayWorkload> one_way_workloads(std::size_t n) {
   if (n < 4) throw std::invalid_argument("one_way_workloads: n >= 4 required");
-  const std::string size = "(n=" + std::to_string(n) + ")";
-  std::vector<OneWayWorkload> out;
-
-  {
-    OneWayWorkload w{"or" + size, make_io_or(), {}, true, 1, nullptr};
-    set_initial(w, {{1, 1}, {0, n - 1}});
-    out.push_back(std::move(w));
-  }
-  {
-    OneWayWorkload w{"max" + size, make_io_max(8), {}, true, 7, nullptr};
-    if (n <= kPerAgentLimit) {
-      std::vector<State> init(n, 0);
-      for (std::size_t i = 0; i < n; ++i) init[i] = static_cast<State>(i % 7);
-      init[0] = 7;  // unique maximum to spread
-      w.initial = std::move(init);
-    } else {
-      // Counts form of the same i % 7 spread with agent 0 lifted to 7.
-      w.initial_counts.assign(8, 0);
-      for (std::size_t q = 0; q < 7; ++q)
-        w.initial_counts[q] = n / 7 + (q < n % 7 ? 1 : 0);
-      --w.initial_counts[0];
-      w.initial_counts[7] = 1;
-    }
-    out.push_back(std::move(w));
-  }
-  {
-    auto conv = [](const std::vector<std::size_t>& counts) {
-      return counts[0] == 1;  // exactly one leader
-    };
-    OneWayWorkload w{"leader" + size, make_io_leader(), {}, true, -1,
-                     std::move(conv)};
-    set_initial(w, {{0, n}});
-    out.push_back(std::move(w));
-  }
-  {
-    // 2/3 majority for x; converged once one opinion is extinct. The
-    // workload stands in for exact majority on one-way models (see
-    // make_io_cancellation_majority).
-    const auto st = io_majority_states();
-    const std::size_t nx = std::max<std::size_t>(2 * n / 3, 1);
-    auto conv = [st](const std::vector<std::size_t>& counts) {
-      return counts[st.x] == 0 || counts[st.y] == 0;
-    };
-    OneWayWorkload w{"exact-majority-1way" + size,
-                     make_io_cancellation_majority(), {}, true, -1,
-                     std::move(conv)};
-    set_initial(w, {{st.x, nx}, {st.y, n - nx}});
-    out.push_back(std::move(w));
-  }
-  {
-    // IT-only: non-identity g (beacon phase), OR over the bit halves.
-    auto conv = [](const std::vector<std::size_t>& counts) {
-      return counts[0] == 0 && counts[1] == 0;  // every bit is 1
-    };
-    OneWayWorkload w{"beacon-or" + size, make_it_or_with_beacon(), {}, false,
-                     -1, std::move(conv)};
-    set_initial(w, {{2, 1}, {0, n - 1}});
-    out.push_back(std::move(w));
-  }
-  return out;
+  return build_all(kOneWay, n);
 }
 
 Workload find_workload(const std::string& name, std::size_t n) {
-  for (Workload& w : standard_workloads(n)) {
-    if (w.name.rfind(name, 0) == 0) return w;
-  }
+  if (n < 4) throw std::invalid_argument("standard_workloads: n >= 4 required");
+  if (std::optional<Workload> w = build_first(kStandard, name, n))
+    return std::move(*w);
   throw std::invalid_argument("unknown workload '" + name + "'");
 }
 
 OneWayWorkload find_one_way_workload(const std::string& name, std::size_t n,
                                      Model model) {
-  for (OneWayWorkload& w : one_way_workloads(n)) {
-    // Prefix match; "exact-majority" resolves to "exact-majority-1way".
-    if (w.name.rfind(name, 0) == 0) {
-      if (model == Model::IO && !w.io)
-        throw std::invalid_argument("workload '" + w.name +
-                                    "' needs g != id, IO forbids it");
-      return w;
-    }
-  }
-  throw std::invalid_argument("unknown one-way workload '" + name +
-                              "' (try: or, max, leader, exact-majority, "
-                              "beacon-or)");
+  if (n < 4) throw std::invalid_argument("one_way_workloads: n >= 4 required");
+  // Prefix match; "exact-majority" resolves to "exact-majority-1way".
+  std::optional<OneWayWorkload> w = build_first(kOneWay, name, n);
+  if (!w)
+    throw std::invalid_argument("unknown one-way workload '" + name +
+                                "' (try: or, max, leader, exact-majority, "
+                                "beacon-or)");
+  if (model == Model::IO && !w->io)
+    throw std::invalid_argument("workload '" + w->name +
+                                "' needs g != id, IO forbids it");
+  return std::move(*w);
 }
 
 }  // namespace ppfs

@@ -16,18 +16,11 @@ void OmissionAdversary::set_victim_picker(VictimPicker picker) {
 }
 
 Interaction OmissionAdversary::next(Rng& rng, std::size_t step) {
-  if (process_.should_omit(rng, step)) {
-    if (picker_) {
-      Interaction ia = picker_(rng, step);
-      ia.omissive = true;
-      return ia;
-    }
-    Interaction ia = uniform_ordered_pair(rng, n_);
-    ia.omissive = true;
-    ia.side = process_.params().side;
-    return ia;
-  }
-  return base_->next(rng, step);
+  if (!picker_) return process_.next(*base_, rng, step, n_);
+  if (!process_.should_omit(rng, step)) return base_->next(rng, step);
+  Interaction ia = picker_(rng, step);
+  ia.omissive = true;
+  return ia;
 }
 
 }  // namespace ppfs

@@ -226,4 +226,13 @@ bool OmissionProcess::should_omit(Rng& rng, std::size_t step) {
   return true;
 }
 
+Interaction OmissionProcess::next(Scheduler& base, Rng& rng, std::size_t step,
+                                  std::size_t n) {
+  if (!should_omit(rng, step)) return base.next(rng, step);
+  Interaction ia = uniform_ordered_pair(rng, n);
+  ia.omissive = true;
+  ia.side = params_.side;
+  return ia;
+}
+
 }  // namespace ppfs

@@ -2,8 +2,9 @@
 // factored out of the OmissionAdversary scheduler wrapper so that BOTH
 // execution paths consume one definition of the adversary classes:
 //
-//   * the step-wise path (OmissionAdversary, the dispatch native engine)
-//     asks should_omit() before delivering each interaction;
+//   * the step-wise path (OmissionAdversary, the dispatch native engines)
+//     takes each delivery from next(): should_omit(), then either an
+//     inserted omission or the base scheduler's pick;
 //   * the count-based batch engine (engine/batch/) reads the process
 //     parameters (rate / remaining budget / quiet horizon) and splits each
 //     leap into real and omissive draws by exact geometric/binomial
@@ -34,6 +35,7 @@
 
 #include "core/types.hpp"
 #include "obs/metrics.hpp"
+#include "sched/scheduler.hpp"
 #include "util/audit.hpp"
 #include "util/binio.hpp"
 #include "util/rng.hpp"
@@ -82,6 +84,12 @@ class OmissionProcess {
   // Step-wise draw: should the interaction delivered at `step` be an
   // inserted omission? Updates the burst/budget state.
   [[nodiscard]] bool should_omit(Rng& rng, std::size_t step);
+
+  // Step-wise insertion: the delivery at `step` of a run over n agents —
+  // an omission inserted on a uniform victim pair, struck on the
+  // configured side, when should_omit() says so, else `base`'s pick.
+  [[nodiscard]] Interaction next(Scheduler& base, Rng& rng, std::size_t step,
+                                 std::size_t n);
 
   // --- batch-side views -----------------------------------------------------
   // Can any further omission be inserted at or after `step`? Inactivity is

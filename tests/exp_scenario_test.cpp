@@ -2,7 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "engine/batch/dispatch.hpp"
+#include "engine/runner.hpp"
+#include "engine/workload_runner.hpp"
 #include "exp/aggregate.hpp"
+#include "protocols/registry.hpp"
+#include "sched/adversary.hpp"
+#include "sim/sim_rules.hpp"
+#include "util/trajectory.hpp"
 
 namespace ppfs::exp {
 namespace {
@@ -227,6 +240,117 @@ TEST(RunReplica, FixedStepsRunsExactlyThatManyInteractions) {
   const ReplicaResult r = run_replica(spec, 0);
   EXPECT_EQ(r.run.steps, 1234u);
   EXPECT_FALSE(r.run.converged);
+}
+
+std::vector<std::uint64_t> widen(const std::vector<std::size_t>& counts) {
+  return {counts.begin(), counts.end()};
+}
+
+// A native simulator replica (make_sim_engine("native") driven by the
+// engine probe loop) must consume exactly the stream of the step-wise API
+// driven by hand — Simulator + OmissionAdversary + run_until over the
+// lifted model — and stop at the same step with the same omissions and
+// the same projected counts at every probe slice.
+void expect_native_replica_matches_hand_run(const std::string& sim,
+                                            std::optional<Model> model,
+                                            const std::string& adversary) {
+  ScenarioSpec spec;
+  spec.workload = "exact-majority";
+  spec.n = 8;
+  spec.engine = "native";
+  spec.sim = sim;
+  spec.model = model;
+  spec.adversary = adversary;
+  spec.verify_matching = true;
+  spec.traj_every = 1;
+  const std::size_t trial = 2;
+  const ReplicaResult r = run_replica(spec, trial);
+
+  const Workload w = find_workload(spec.workload, spec.n);
+  auto hand = make_spec_simulator(parse_sim_spec(sim),
+                                  omissive_closure(resolve_model(spec)),
+                                  w.protocol, w.initial);
+  OmissionAdversary sched(std::make_unique<UniformScheduler>(spec.n), spec.n,
+                          parse_adversary_spec(adversary));
+  Rng rng = Rng(spec.point_seed()).split(trial);
+  const auto probe = workload_counts_probe(w);
+  std::vector<std::vector<std::uint64_t>> slices{
+      widen(hand->projected_counts())};
+  const RunResult h = run_until(
+      *hand, sched, rng,
+      [&](const Simulator& s) {
+        slices.push_back(widen(s.projected_counts()));
+        return probe(s.projected_counts(), *w.protocol);
+      },
+      resolve_run_options(spec));
+
+  ASSERT_TRUE(h.converged) << sim;
+  EXPECT_TRUE(r.run.converged) << sim;
+  EXPECT_EQ(r.run.steps, h.steps) << sim;
+  EXPECT_EQ(r.run.omissions, h.omissions) << sim;
+  EXPECT_GT(r.run.omissions, 0u) << sim;
+  EXPECT_EQ(r.extras.at("sim_updates"),
+            static_cast<double>(hand->simulated_updates()))
+      << sim;
+  EXPECT_EQ(r.extras.at("matching_ok"), 1.0) << sim;
+  // One frame per probe slice, except the slices that declared
+  // convergence (the loop returns before recording them).
+  TrajectoryDecoder decoder(r.traj);
+  TrajectoryFrame frame;
+  std::size_t frames = 0;
+  while (decoder.next(frame)) {
+    ASSERT_LT(frames, slices.size()) << sim;
+    EXPECT_EQ(frame.counts, slices[frames]) << sim << " frame " << frames;
+    ++frames;
+  }
+  EXPECT_GT(frames, 1u) << sim;
+}
+
+TEST(RunReplica, NativeSimulatorReplicaMatchesTheStepwiseApi) {
+  expect_native_replica_matches_hand_run("skno:o=2", Model::I3,
+                                         "budget:2:0.2");
+  // SID's default model IO is lifted to I1 by the adversary.
+  expect_native_replica_matches_hand_run("sid", std::nullopt, "uo:0.3");
+}
+
+TEST(RunReplica, NativeSimulatorReplicasLiftNonOmissiveModels) {
+  // exact-majority@n=8:model=IO:adv=uo:0.3:sim=sid:engine=native used to
+  // fail every replica: the replica built its own simulator in IO.
+  ScenarioSpec spec;
+  spec.workload = "exact-majority";
+  spec.n = 8;
+  spec.engine = "native";
+  spec.sim = "sid";
+  spec.model = Model::IO;
+  spec.adversary = "uo:0.3";
+  for (std::size_t trial = 0; trial < 2; ++trial) {
+    const ReplicaResult r = run_replica(spec, trial);
+    EXPECT_TRUE(r.run.converged) << trial;
+    EXPECT_GT(r.run.omissions, 0u) << trial;
+  }
+  const Workload w = find_workload(spec.workload, spec.n);
+  SimEngineConfig config;
+  config.spec = parse_sim_spec(spec.sim);
+  config.model = Model::IO;
+  config.adversary = parse_adversary_spec(spec.adversary);
+  EXPECT_EQ(make_sim_engine("native", w.protocol, w.initial, config)->model(),
+            Model::I1);
+}
+
+TEST(RunReplica, WorkloadsAboveThePerAgentLimitRunFromCounts) {
+  // Above 2^27 agents the registry hands out counts only; the replica
+  // must build its engine from them (two-way and one-way).
+  ScenarioSpec spec;
+  spec.workload = "or";
+  spec.n = 200'000'000;
+  spec.engine = "batch";
+  spec.fixed_steps = 1000;
+  EXPECT_EQ(run_replica(spec, 0).run.steps, 1000u);
+  spec.workload = "beacon-or";
+  spec.n = 1'000'000'000;
+  spec.model = Model::IT;
+  spec.engine = "auto";
+  EXPECT_EQ(run_replica(spec, 0).run.steps, 1000u);
 }
 
 TEST(AggregateStats, QuantilesAreExactNearestRank) {

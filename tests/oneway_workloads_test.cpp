@@ -3,6 +3,8 @@
 // declared model family.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "engine/batch/dispatch.hpp"
 #include "protocols/registry.hpp"
 
@@ -75,6 +77,32 @@ TEST(OneWayWorkloads, MajorityPrefixResolvesExactMajorityRequests) {
 
 TEST(OneWayWorkloads, RegistryRejectsTinyPopulations) {
   EXPECT_THROW((void)one_way_workloads(3), std::invalid_argument);
+  EXPECT_THROW((void)find_one_way_workload("or", 3, Model::IO),
+               std::invalid_argument);
+}
+
+TEST(OneWayWorkloads, LookupsResolveTheFirstPrefixMatch) {
+  EXPECT_EQ(find_one_way_workload("exact-majority", 16, Model::IO).name,
+            "exact-majority-1way(n=16)");
+  EXPECT_EQ(find_one_way_workload("or", 16, Model::IO).name, "or(n=16)");
+  EXPECT_EQ(find_one_way_workload("beacon-or", 16, Model::IT).name,
+            "beacon-or(n=16)");
+  for (const OneWayWorkload& w : one_way_workloads(16)) {
+    const OneWayWorkload found = find_one_way_workload(w.name, 16, Model::IT);
+    EXPECT_EQ(found.name, w.name);
+    EXPECT_EQ(found.initial, w.initial);
+    EXPECT_EQ(found.io, w.io);
+  }
+  // IO forbids g != id; the error names the workload.
+  try {
+    (void)find_one_way_workload("beacon-or", 16, Model::IO);
+    FAIL() << "IO accepted an IT-only workload";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "workload 'beacon-or(n=16)' needs g != id, IO forbids it");
+  }
+  EXPECT_THROW((void)find_one_way_workload("nope", 16, Model::IT),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -140,5 +140,30 @@ TEST(Registry, CoreSuiteIsSubsetSized) {
   EXPECT_LT(core_workloads(10).size(), standard_workloads(10).size());
 }
 
+TEST(Registry, LookupsResolveTheFirstPrefixMatch) {
+  EXPECT_EQ(find_workload("exact-majority", 10).name, "exact-majority(n=10)");
+  EXPECT_EQ(find_workload("exact-majority-", 10).name,
+            "exact-majority-gap(n=10)");
+  EXPECT_EQ(find_workload("threshold3", 10).name, "threshold3-true(n=10)");
+  EXPECT_EQ(find_workload("or(n=10)", 10).name, "or(n=10)");
+  // A lookup builds the same workload as the suite's entry.
+  for (const Workload& w : standard_workloads(12)) {
+    const Workload found = find_workload(w.name, 12);
+    EXPECT_EQ(found.name, w.name);
+    EXPECT_EQ(found.initial, w.initial);
+    EXPECT_EQ(found.expected_output, w.expected_output);
+  }
+  EXPECT_THROW((void)find_workload("no-such-workload", 10),
+               std::invalid_argument);
+  EXPECT_THROW((void)find_workload("or", 3), std::invalid_argument);
+}
+
+TEST(Registry, LookupsAboveThePerAgentLimitCarryCounts) {
+  const Workload w = find_workload("or", kPerAgentLimit + 1);
+  EXPECT_TRUE(w.initial.empty());
+  ASSERT_EQ(w.initial_counts.size(), 2u);
+  EXPECT_EQ(w.initial_counts[0] + w.initial_counts[1], kPerAgentLimit + 1);
+}
+
 }  // namespace
 }  // namespace ppfs
